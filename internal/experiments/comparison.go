@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/cat"
 	"repro/internal/core"
 	"repro/internal/host"
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/ucp"
 	"repro/internal/workload"
@@ -57,12 +57,18 @@ func ComparisonUCP(opts Options) (*TableResult, error) {
 		victimRatio, whaleRatio float64 // IPC / baseline IPC
 	}
 
-	runDCat := func() (outcome, error) {
+	runWith := func(useDCat bool) (outcome, error) {
 		s, err := newScenario(opts, build())
 		if err != nil {
 			return outcome{}, err
 		}
-		ctl, err := s.run(ModeDCat, core.DefaultConfig(), opts.SteadyIntervals, nil)
+		cfg := core.DefaultConfig()
+		if !useDCat {
+			if cfg.NewPolicy, err = ucpPolicy(s); err != nil {
+				return outcome{}, err
+			}
+		}
+		ctl, err := s.run(ModeDCat, cfg, opts.SteadyIntervals, nil)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -76,55 +82,11 @@ func ComparisonUCP(opts Options) (*TableResult, error) {
 		}, nil
 	}
 
-	runUCP := func() (outcome, error) {
-		s, err := newScenario(opts, build())
-		if err != nil {
-			return outcome{}, err
-		}
-		backend, err := cat.NewSimBackend(s.host.System())
-		if err != nil {
-			return outcome{}, err
-		}
-		mgr, err := cat.NewManager(backend)
-		if err != nil {
-			return outcome{}, err
-		}
-		var targets []ucp.Target
-		for _, vm := range s.host.VMs() {
-			targets = append(targets, ucp.Target{Name: vm.Name, Cores: vm.Cores})
-		}
-		sets := s.host.System().Config().LLC.Sets()
-		ctl, err := ucp.New(mgr, targets, sets, 32)
-		if err != nil {
-			return outcome{}, err
-		}
-		for _, vm := range s.host.VMs() {
-			mon, ok := ctl.Monitor(vm.Name)
-			if !ok {
-				return outcome{}, fmt.Errorf("experiments: no UCP monitor for %s", vm.Name)
-			}
-			vm.SetObserver(mon)
-		}
-		s.host.RunIntervals(opts.SteadyIntervals, func(int) {
-			if err := ctl.Tick(); err != nil {
-				panic(err)
-			}
-		})
-		v, _ := s.host.VM("victim")
-		w, _ := s.host.VM("whale")
-		return outcome{
-			victimWays:  ctl.Ways("victim"),
-			whaleWays:   ctl.Ways("whale"),
-			victimRatio: v.Last().IPC() / baselineIPC["victim"],
-			whaleRatio:  w.Last().IPC() / baselineIPC["whale"],
-		}, nil
-	}
-
-	dc, err := runDCat()
+	dc, err := runWith(true)
 	if err != nil {
 		return nil, err
 	}
-	uc, err := runUCP()
+	uc, err := runWith(false)
 	if err != nil {
 		return nil, err
 	}
@@ -185,44 +147,37 @@ func recoveryIntervals(opts Options, useDCat bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	cfg := core.DefaultConfig()
+	if !useDCat {
+		if cfg.NewPolicy, err = ucpPolicy(s); err != nil {
+			return 0, err
+		}
+	}
 	recovered := 0
-	total := wake + opts.SteadyIntervals
-	if useDCat {
-		_, err = s.run(ModeDCat, core.DefaultConfig(), total,
-			func(interval int, ctl *core.Controller) {
-				if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
-					recovered = interval - wake
-				}
-			})
-		return recovered, err
-	}
-	backend, err := cat.NewSimBackend(s.host.System())
-	if err != nil {
-		return 0, err
-	}
-	mgr, err := cat.NewManager(backend)
-	if err != nil {
-		return 0, err
-	}
-	var targets []ucp.Target
+	_, err = s.run(ModeDCat, cfg, wake+opts.SteadyIntervals,
+		func(interval int, ctl *core.Controller) {
+			if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
+				recovered = interval - wake
+			}
+		})
+	return recovered, err
+}
+
+// ucpPolicy attaches a UMON shadow-tag monitor (sampling one LLC set in
+// 32, as the UCP paper does) to every VM of the scenario and returns a
+// factory for the UCP policy that reads them.
+func ucpPolicy(s *scenario) (func() policy.AllocationPolicy, error) {
+	llc := s.host.System().Config().LLC
+	mons := make(map[string]*ucp.Monitor, len(s.host.VMs()))
 	for _, vm := range s.host.VMs() {
-		targets = append(targets, ucp.Target{Name: vm.Name, Cores: vm.Cores})
-	}
-	ctl, err := ucp.New(mgr, targets, s.host.System().Config().LLC.Sets(), 32)
-	if err != nil {
-		return 0, err
-	}
-	for _, vm := range s.host.VMs() {
-		mon, _ := ctl.Monitor(vm.Name)
+		mon, err := ucp.NewMonitor(llc.Sets(), llc.Ways, 32)
+		if err != nil {
+			return nil, err
+		}
 		vm.SetObserver(mon)
+		mons[vm.Name] = mon
 	}
-	s.host.RunIntervals(total, func(interval int) {
-		if err := ctl.Tick(); err != nil {
-			panic(err)
-		}
-		if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
-			recovered = interval - wake
-		}
-	})
-	return recovered, nil
+	return func() policy.AllocationPolicy {
+		return ucp.NewPolicy(func(name string) *ucp.Monitor { return mons[name] }, 1)
+	}, nil
 }

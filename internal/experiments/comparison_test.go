@@ -48,8 +48,12 @@ func TestComparisonHeraclesShape(t *testing.T) {
 			herMLR = v
 		}
 	}
-	if dcatMLR <= herMLR {
-		t.Errorf("dCat should isolate the best-effort MLR from the streamer: dcat %.4f vs heracles %.4f",
+	// Heracles' one shared best-effort partition leaves the MLR at the
+	// streamer's mercy (measured ratio about 0.33). Isolating the
+	// best-effort tenants from each other lifts it past one half, which
+	// is no longer the two-class controller of §7.
+	if herMLR > 0.5*dcatMLR {
+		t.Errorf("inside Heracles' shared best-effort partition the MLR should keep at most half its dCat IPC: dcat %.4f vs heracles %.4f",
 			dcatMLR, herMLR)
 	}
 }

@@ -163,6 +163,11 @@ type vmSpec struct {
 	socket   int // placement on NUMA hosts; ignored (0) otherwise
 	gen      func(h *host.Host) (workload.Generator, error)
 	baseline int
+	// class, when set, names a controller target shared by every spec
+	// of that class: their cores form one CLOS group and their baselines
+	// add up (Heracles' single best-effort partition). Empty gives the
+	// tenant its own target.
+	class string
 }
 
 // scenario is a configured host plus the controller handles needed to
@@ -171,9 +176,9 @@ type scenario struct {
 	host  *host.Host
 	specs []vmSpec
 	opts  Options
-	// multi is the per-socket controller set, populated by run on
-	// multi-socket hosts under ModeStatic/ModeDCat (ctl stays nil
-	// there: CAT domains are per-LLC, so no single controller exists).
+	// multi is the per-socket controller set, populated by run under
+	// ModeStatic/ModeDCat: one loop per populated socket (CAT domains
+	// are per-LLC), so a single-socket host runs exactly one.
 	multi *core.MultiController
 }
 
@@ -208,10 +213,9 @@ func newScenario(opts Options, specs []vmSpec) (*scenario, error) {
 }
 
 // run executes the scenario for n intervals under the given mode,
-// invoking onTick after every interval. The returned controller is nil
-// in ModeShared, and on multi-socket hosts with VMs on more than one
-// socket, where one controller per LLC runs instead (s.multi); when
-// only one socket is populated its loop doubles as the controller.
+// invoking onTick after every interval. The returned controller is the
+// lone populated socket's loop; it is nil in ModeShared and when VMs
+// sit on more than one socket (use s.multi then).
 func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interval int, ctl *core.Controller)) (*core.Controller, error) {
 	var ctl *core.Controller
 	if s.opts.AllocPolicy != "" && ctlCfg.NewPolicy == nil {
@@ -221,45 +225,18 @@ func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interva
 		}
 		ctlCfg.NewPolicy = factory
 	}
-	nsys := s.host.NUMA()
-	multiSocket := nsys != nil && nsys.Sockets() > 1
 	switch mode {
 	case ModeShared:
 		// Leave default full masks.
 	case ModeStatic, ModeDCat:
-		if multiSocket {
-			m, err := s.buildMulti(ctlCfg)
-			if err != nil {
-				return nil, err
-			}
-			s.multi = m
-			// Experiments that don't place VMs explicitly put everything
-			// on socket 0, leaving a single populated loop — hand it to
-			// onTick so the whole legacy suite runs unchanged on NUMA
-			// hosts. With several populated sockets no single controller
-			// exists and ctl stays nil (use s.multi).
-			if sockets := m.Sockets(); len(sockets) == 1 {
-				ctl = m.Controller(sockets[0])
-			}
-			break
-		}
-		backend, err := cat.NewSimBackend(s.host.System())
+		m, err := s.buildMulti(ctlCfg)
 		if err != nil {
 			return nil, err
 		}
-		mgr, err := cat.NewManager(backend)
-		if err != nil {
-			return nil, err
+		s.multi = m
+		if sockets := m.Sockets(); len(sockets) == 1 {
+			ctl = m.Controller(sockets[0])
 		}
-		targets, err := s.targets(func(*host.VM) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		c, err := core.New(ctlCfg, mgr, s.host.Counters(), targets)
-		if err != nil {
-			return nil, err
-		}
-		ctl = c
 	default:
 		return nil, fmt.Errorf("experiments: unknown mode %d", mode)
 	}
@@ -267,11 +244,7 @@ func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interva
 		if mode == ModeDCat {
 			// Controller errors are programming errors in this closed
 			// system; surface loudly.
-			if s.multi != nil {
-				if err := s.multi.Tick(); err != nil {
-					panic(err)
-				}
-			} else if err := ctl.Tick(); err != nil {
+			if err := s.multi.Tick(); err != nil {
 				panic(err)
 			}
 		}
@@ -279,16 +252,15 @@ func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interva
 			onTick(interval, ctl)
 		}
 	})
-	if mode == ModeStatic {
-		return ctl, nil // holds the static baselines it installed
-	}
 	return ctl, nil
 }
 
 // targets collects controller targets for the scenario's VMs passing
-// the filter, in spec order.
+// the filter, in spec order. Specs sharing a class merge into one
+// target at the position of the class's first spec.
 func (s *scenario) targets(keep func(*host.VM) bool) ([]core.Target, error) {
 	targets := make([]core.Target, 0, len(s.specs))
+	classAt := make(map[string]int)
 	for _, spec := range s.specs {
 		vm, ok := s.host.VM(spec.name)
 		if !ok {
@@ -297,19 +269,31 @@ func (s *scenario) targets(keep func(*host.VM) bool) ([]core.Target, error) {
 		if !keep(vm) {
 			continue
 		}
-		targets = append(targets, core.Target{
-			Name: spec.name, Cores: vm.Cores, BaselineWays: spec.baseline,
-		})
+		if i, ok := classAt[spec.class]; ok {
+			targets[i].Cores = append(targets[i].Cores, vm.Cores...)
+			targets[i].BaselineWays += spec.baseline
+			continue
+		}
+		t := core.Target{Name: spec.name, Cores: vm.Cores, BaselineWays: spec.baseline}
+		if spec.class != "" {
+			classAt[spec.class] = len(targets)
+			t.Name, t.Cores = spec.class, append([]int(nil), vm.Cores...)
+		}
+		targets = append(targets, t)
 	}
 	return targets, nil
 }
 
 // buildMulti wires one CAT domain and dCat loop per socket that hosts
-// at least one VM.
+// at least one VM; a single-socket host gets one loop over its LLC.
 func (s *scenario) buildMulti(ctlCfg core.Config) (*core.MultiController, error) {
 	nsys := s.host.NUMA()
+	sockets := 1
+	if nsys != nil {
+		sockets = nsys.Sockets()
+	}
 	var specs []core.SocketSpec
-	for socket := 0; socket < nsys.Sockets(); socket++ {
+	for socket := 0; socket < sockets; socket++ {
 		targets, err := s.targets(func(vm *host.VM) bool { return vm.Socket == socket })
 		if err != nil {
 			return nil, err
@@ -317,7 +301,12 @@ func (s *scenario) buildMulti(ctlCfg core.Config) (*core.MultiController, error)
 		if len(targets) == 0 {
 			continue
 		}
-		backend, err := cat.NewNUMABackend(nsys, socket)
+		var backend cat.Backend
+		if nsys != nil {
+			backend, err = cat.NewNUMABackend(nsys, socket)
+		} else {
+			backend, err = cat.NewSimBackend(s.host.System())
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cat"
 	"repro/internal/core"
 	"repro/internal/heracles"
 	"repro/internal/host"
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -79,36 +79,23 @@ func ComparisonHeracles(opts Options) (*TableResult, error) {
 	}
 	dcat := measure(sd)
 
-	// Heracles run: LC = redis cores; BE = everyone else, one group.
-	sh, err := newScenario(opts, specs())
+	// Heracles run: two CLOS groups, LC = redis and one best-effort
+	// target holding every other tenant's cores.
+	beSpecs := specs()
+	for i := 1; i < len(beSpecs); i++ {
+		beSpecs[i].class = "best-effort"
+	}
+	sh, err := newScenario(opts, beSpecs)
 	if err != nil {
 		return nil, err
 	}
-	backend, err := cat.NewSimBackend(sh.host.System())
-	if err != nil {
+	cfg := core.DefaultConfig()
+	cfg.NewPolicy = func() policy.AllocationPolicy {
+		return heracles.NewPolicy(heracles.DefaultConfig(targetIPC), "redis")
+	}
+	if _, err := sh.run(ModeDCat, cfg, opts.SteadyIntervals, nil); err != nil {
 		return nil, err
 	}
-	mgr, err := cat.NewManager(backend)
-	if err != nil {
-		return nil, err
-	}
-	redisVM, _ := sh.host.VM("redis")
-	var beCores []int
-	for _, vm := range sh.host.VMs() {
-		if vm.Name != "redis" {
-			beCores = append(beCores, vm.Cores...)
-		}
-	}
-	hctl, err := heracles.New(heracles.DefaultConfig(targetIPC), mgr,
-		sh.host.System().Counters(), redisVM.Cores, beCores)
-	if err != nil {
-		return nil, err
-	}
-	sh.host.RunIntervals(opts.SteadyIntervals, func(int) {
-		if err := hctl.Tick(); err != nil {
-			panic(err)
-		}
-	})
 	her := measure(sh)
 
 	tab := telemetry.NewTable(

@@ -16,9 +16,10 @@ import (
 // table (table1), and a dCat-controlled streaming timeline (fig13).
 var determinismSubset = []string{"fig3", "ablation-replacement", "fig2", "table1", "fig13"}
 
-// TestParallelOutputMatchesSerial is the determinism guard for the
-// golden files under results/: the engine at -j 4 must render byte-
-// identical output to a serial run, in registry order.
+// TestParallelOutputMatchesSerial is the determinism guard for rendered
+// experiment output: the engine at -j 4 must render byte-identical
+// output to a serial run, in registry order. The snapshots under
+// results/ and bench_results/ are regenerated, not compared here.
 func TestParallelOutputMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")

@@ -9,7 +9,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
-	"repro/internal/ucp"
 	"repro/internal/workload"
 )
 
@@ -79,18 +78,18 @@ func PolicyComparison(opts Options) (*TableResult, error) {
 		predicted bool
 	}
 
-	// runOne executes the scenario under one policy; prep (optional)
-	// hooks the built scenario before the run (the UCP adapter attaches
-	// its shadow-tag monitors there). prefWays=0 means "measure, don't
+	// runOne executes the scenario under one policy; wire (optional)
+	// builds the policy from the built scenario (UCP attaches its
+	// shadow-tag monitors there). prefWays=0 means "measure, don't
 	// judge recovery" (the reactive pass that defines the target).
 	runOne := func(cfg core.Config, prefWays int,
-		prep func(s *scenario, cfg *core.Config) error) (outcome, error) {
+		wire func(s *scenario) (func() policy.AllocationPolicy, error)) (outcome, error) {
 		s, err := newScenario(opts, build())
 		if err != nil {
 			return outcome{}, err
 		}
-		if prep != nil {
-			if err := prep(s, &cfg); err != nil {
+		if wire != nil {
+			if cfg.NewPolicy, err = wire(s); err != nil {
 				return outcome{}, err
 			}
 		}
@@ -190,23 +189,7 @@ func PolicyComparison(opts Options) (*TableResult, error) {
 		outcomes["heracles"] = o
 	}
 	{
-		cfg := core.DefaultConfig()
-		o, err := runOne(cfg, prefWays, func(s *scenario, cfg *core.Config) error {
-			llc := s.host.System().Config().LLC
-			mons := make(map[string]*ucp.Monitor)
-			for _, vm := range s.host.VMs() {
-				mon, err := ucp.NewMonitor(llc.Sets(), llc.Ways, 32)
-				if err != nil {
-					return err
-				}
-				vm.SetObserver(mon)
-				mons[vm.Name] = mon
-			}
-			cfg.NewPolicy = func() policy.AllocationPolicy {
-				return ucp.NewPolicy(func(name string) *ucp.Monitor { return mons[name] }, 1)
-			}
-			return nil
-		})
+		o, err := runOne(core.DefaultConfig(), prefWays, ucpPolicy)
 		if err != nil {
 			return nil, err
 		}

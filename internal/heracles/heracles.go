@@ -9,6 +9,11 @@
 // workload runs below its target, best-effort cache is confiscated;
 // when it has slack, best-effort cache grows back one way at a time.
 //
+// The loop is a policy.AllocationPolicy, so it runs inside the same
+// dCat controller as every other engine. Heracles' two-CLOS layout is
+// then two controller targets: the LC workload, and one best-effort
+// target holding every BE tenant's cores.
+//
 // The structural contrasts with dCat (paper §7):
 //
 //   - two classes only — every non-LC tenant shares one best-effort
@@ -18,12 +23,7 @@
 //     derives its floor from the contracted baseline allocation.
 package heracles
 
-import (
-	"fmt"
-
-	"repro/internal/cat"
-	"repro/internal/perf"
-)
+import "repro/internal/policy"
 
 // Config tunes the feedback loop.
 type Config struct {
@@ -53,113 +53,70 @@ func DefaultConfig(targetIPC float64) Config {
 	}
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.TargetIPC <= 0 {
-		return fmt.Errorf("heracles: target IPC %f must be positive", c.TargetIPC)
-	}
-	if c.Margin <= 0 || c.Margin >= 1 {
-		return fmt.Errorf("heracles: margin %f out of (0,1)", c.Margin)
-	}
-	if c.GrowStep < 1 || c.YieldStep < 1 {
-		return fmt.Errorf("heracles: steps must be >= 1")
-	}
-	if c.MinLC < 1 || c.MinBE < 1 {
-		return fmt.Errorf("heracles: partition minimums must be >= 1 way")
-	}
-	return nil
+// Policy is the Heracles feedback loop as an allocation policy. The
+// named latency-critical workload is regulated against TargetIPC; every
+// other workload is best-effort. With one best-effort target (the
+// Heracles layout) that target is the whole BE partition; with several
+// they share it evenly, each holding at least one way.
+//
+// It is an Independent allocator: Heracles has no Reclaim/baseline
+// contract, so the controller only enforces the ≥1-way and
+// sum-within-associativity invariants on its grants.
+type Policy struct {
+	cfg    Config
+	lcName string
+	lcWays int
+	inited bool
 }
 
-// Controller is the two-class cache controller.
-type Controller struct {
-	cfg     Config
-	mgr     *cat.Manager
-	sampler *perf.Sampler
-	lcCores []int
-	lcWays  int
+// NewPolicy builds the policy. lcName selects the latency-critical
+// workload by controller target name; if no workload with that name is
+// present in a round, every workload shares the cache evenly.
+func NewPolicy(cfg Config, lcName string) *Policy {
+	return &Policy{cfg: cfg, lcName: lcName}
 }
 
-// LCName and BEName are the two partition names in the CAT manager.
-const (
-	LCName = "latency-critical"
-	BEName = "best-effort"
-)
+// Name implements policy.AllocationPolicy.
+func (p *Policy) Name() string { return "heracles" }
 
-// New builds the controller: the LC workload on lcCores, everything
-// else (beCores) in one best-effort partition. The cache starts split
-// half and half.
-func New(cfg Config, mgr *cat.Manager, counters perf.Reader, lcCores, beCores []int) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if mgr == nil || counters == nil {
-		return nil, fmt.Errorf("heracles: nil manager or counters")
-	}
-	if len(lcCores) == 0 || len(beCores) == 0 {
-		return nil, fmt.Errorf("heracles: both classes need cores")
-	}
-	total := mgr.TotalWays()
-	if cfg.MinLC+cfg.MinBE > total {
-		return nil, fmt.Errorf("heracles: minimums exceed %d ways", total)
-	}
-	if _, err := mgr.CreateGroup(LCName, lcCores); err != nil {
-		return nil, err
-	}
-	if _, err := mgr.CreateGroup(BEName, beCores); err != nil {
-		return nil, err
-	}
-	lc := total / 2
-	if lc < cfg.MinLC {
-		lc = cfg.MinLC
-	}
-	if total-lc < cfg.MinBE {
-		lc = total - cfg.MinBE
-	}
-	c := &Controller{
-		cfg:     cfg,
-		mgr:     mgr,
-		sampler: perf.NewSampler(counters),
-		lcCores: append([]int(nil), lcCores...),
-		lcWays:  lc,
-	}
-	if err := c.apply(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
+// IndependentAllocator implements policy.Independent.
+func (p *Policy) IndependentAllocator() bool { return true }
 
-func (c *Controller) apply() error {
-	return c.mgr.SetAllocation(map[string]int{
-		LCName: c.lcWays,
-		BEName: c.mgr.TotalWays() - c.lcWays,
-	})
-}
-
-// LCWays returns the latency-critical partition size.
-func (c *Controller) LCWays() int { return c.lcWays }
-
-// BEWays returns the best-effort partition size.
-func (c *Controller) BEWays() int { return c.mgr.TotalWays() - c.lcWays }
-
-// Tick runs one feedback round: sample the LC workload's IPC, then
-// confiscate from or yield to the best-effort partition.
-func (c *Controller) Tick() error {
-	s := c.sampler.SampleCores(c.lcCores)
-	ipc := s.IPC()
-	total := c.mgr.TotalWays()
+// Propose implements policy.AllocationPolicy: one feedback round.
+func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
+	n := len(v.Workloads)
+	g.Reset(n)
+	g.PoolEmpty = true
+	total := v.TotalWays
+	lc := -1
+	for i := range v.Workloads {
+		if v.Workloads[i].Name == p.lcName {
+			lc = i
+			break
+		}
+	}
+	if lc < 0 || n == 1 {
+		policy.EvenSplit(g.Ways, total)
+		return
+	}
+	if !p.inited {
+		p.inited = true
+		p.lcWays = total / 2
+	}
+	// Confiscate under SLO pressure, yield under slack, hold inside the
+	// margin.
+	ipc := v.Workloads[lc].IPC
 	switch {
-	case ipc < c.cfg.TargetIPC*(1-c.cfg.Margin):
-		// SLO pressure: take best-effort cache.
-		c.lcWays += c.cfg.GrowStep
-		if max := total - c.cfg.MinBE; c.lcWays > max {
-			c.lcWays = max
-		}
-	case ipc > c.cfg.TargetIPC*(1+c.cfg.Margin):
-		// Slack: give cache back to the best-effort class.
-		c.lcWays -= c.cfg.YieldStep
-		if c.lcWays < c.cfg.MinLC {
-			c.lcWays = c.cfg.MinLC
-		}
+	case ipc < p.cfg.TargetIPC*(1-p.cfg.Margin):
+		p.lcWays += p.cfg.GrowStep
+	case ipc > p.cfg.TargetIPC*(1+p.cfg.Margin):
+		p.lcWays -= p.cfg.YieldStep
 	}
-	return c.apply()
+	beFloor := max(n-1, p.cfg.MinBE) // one way per best-effort target
+	p.lcWays = max(min(p.lcWays, total-beFloor), p.cfg.MinLC)
+	// Spread the best-effort partition over the other targets, earlier
+	// ones first, then slot the LC grant in at its own index.
+	policy.EvenSplit(g.Ways[:n-1], total-p.lcWays)
+	copy(g.Ways[lc+1:], g.Ways[lc:n-1])
+	g.Ways[lc] = p.lcWays
 }

@@ -1,140 +1,76 @@
 package heracles
 
 import (
+	"fmt"
 	"testing"
 
-	"repro/internal/bits"
-	"repro/internal/cat"
-	"repro/internal/perf"
+	"repro/internal/policy"
 )
 
-type fakeBackend struct{ ways int }
-
-func (f *fakeBackend) TotalWays() int                               { return f.ways }
-func (f *fakeBackend) Apply(cos int, m bits.CBM, cores []int) error { return nil }
-
-// rig drives the controller with a scripted LC IPC.
-type rig struct {
-	t    *testing.T
-	file *perf.File
-	ctl  *Controller
-	ipc  float64 // next interval's LC IPC
-}
-
-func newRig(t *testing.T, cfg Config) *rig {
-	t.Helper()
-	file := perf.NewFile(4)
-	mgr, err := cat.NewManager(&fakeBackend{ways: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := New(cfg, mgr, file, []int{0, 1}, []int{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{t: t, file: file, ctl: ctl}
-}
-
-func (r *rig) tick() {
-	r.t.Helper()
-	const cycles = 1_000_000
-	r.file.Core(0).Add(perf.RetiredInstructions, uint64(r.ipc*cycles))
-	r.file.Core(0).Add(perf.UnhaltedCycles, cycles)
-	if err := r.ctl.Tick(); err != nil {
-		r.t.Fatal(err)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(0.5).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Config{
-		{TargetIPC: 0, Margin: 0.05, GrowStep: 1, YieldStep: 1, MinLC: 1, MinBE: 1},
-		{TargetIPC: 1, Margin: 0, GrowStep: 1, YieldStep: 1, MinLC: 1, MinBE: 1},
-		{TargetIPC: 1, Margin: 0.05, GrowStep: 0, YieldStep: 1, MinLC: 1, MinBE: 1},
-		{TargetIPC: 1, Margin: 0.05, GrowStep: 1, YieldStep: 1, MinLC: 0, MinBE: 1},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %d should be invalid", i)
+// TestPolicyPropose drives the feedback loop with a scripted LC IPC per
+// round against a 20-way socket and a 0.5 IPC target (dead zone
+// 0.475–0.525), and checks the final grants.
+func TestPolicyPropose(t *testing.T) {
+	repeat := func(ipc float64, n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = ipc
 		}
+		return out
 	}
-}
-
-func TestNewValidation(t *testing.T) {
-	mgr, _ := cat.NewManager(&fakeBackend{ways: 20})
-	file := perf.NewFile(2)
-	if _, err := New(DefaultConfig(1), nil, file, []int{0}, []int{1}); err == nil {
-		t.Error("nil manager should fail")
+	cases := []struct {
+		name      string
+		lcName    string
+		workloads []string  // controller targets, in order
+		ipcs      []float64 // the LC workload's IPC, one per round
+		want      []int     // final grants, parallel to workloads
+	}{
+		{name: "starts at half the ways", lcName: "lc",
+			workloads: []string{"lc", "be"}, ipcs: []float64{0.51}, want: []int{10, 10}},
+		{name: "grows GrowStep under SLO pressure", lcName: "lc",
+			workloads: []string{"lc", "be"}, ipcs: []float64{0.3}, want: []int{12, 8}},
+		{name: "yields YieldStep with slack", lcName: "lc",
+			workloads: []string{"lc", "be"}, ipcs: []float64{0.8}, want: []int{9, 11}},
+		{name: "holds inside the dead zone", lcName: "lc",
+			workloads: []string{"lc", "be"}, ipcs: []float64{0.51, 0.49, 0.5}, want: []int{10, 10}},
+		// One violation and two slack rounds land back at the start:
+		// confiscation (2 ways) outpaces yielding (1 way).
+		{name: "grow and yield are asymmetric", lcName: "lc",
+			workloads: []string{"lc", "be"}, ipcs: []float64{0.3, 0.8, 0.8}, want: []int{10, 10}},
+		{name: "MinBE floor holds", lcName: "lc",
+			workloads: []string{"lc", "be"}, ipcs: repeat(0.3, 21), want: []int{19, 1}},
+		{name: "MinLC floor holds", lcName: "lc",
+			workloads: []string{"lc", "be"}, ipcs: repeat(0.8, 21), want: []int{2, 18}},
+		{name: "best-effort targets share the rest evenly", lcName: "lc",
+			workloads: []string{"be1", "lc", "be2", "be3"}, ipcs: []float64{0.3}, want: []int{3, 12, 3, 2}},
+		{name: "even split without the LC workload", lcName: "absent",
+			workloads: []string{"lc", "be"}, ipcs: []float64{0.3, 0.3}, want: []int{10, 10}},
 	}
-	if _, err := New(DefaultConfig(1), mgr, file, nil, []int{1}); err == nil {
-		t.Error("no LC cores should fail")
-	}
-	cfg := DefaultConfig(1)
-	cfg.MinLC, cfg.MinBE = 15, 15
-	if _, err := New(cfg, mgr, file, []int{0}, []int{1}); err == nil {
-		t.Error("minimums beyond total ways should fail")
-	}
-}
-
-func TestStartsAtEvenSplit(t *testing.T) {
-	r := newRig(t, DefaultConfig(0.5))
-	if r.ctl.LCWays() != 10 || r.ctl.BEWays() != 10 {
-		t.Errorf("initial split %d/%d want 10/10", r.ctl.LCWays(), r.ctl.BEWays())
-	}
-}
-
-func TestConfiscatesUnderSLOPressure(t *testing.T) {
-	r := newRig(t, DefaultConfig(0.5))
-	r.ipc = 0.3 // well below target
-	r.tick()
-	if r.ctl.LCWays() != 12 {
-		t.Errorf("LC should grow by GrowStep=2 to 12, got %d", r.ctl.LCWays())
-	}
-	for i := 0; i < 20; i++ {
-		r.tick()
-	}
-	if r.ctl.BEWays() != 1 {
-		t.Errorf("sustained pressure should squeeze BE to its 1-way floor, got %d", r.ctl.BEWays())
-	}
-}
-
-func TestYieldsWithSlack(t *testing.T) {
-	r := newRig(t, DefaultConfig(0.5))
-	r.ipc = 0.8 // comfortable slack
-	r.tick()
-	if r.ctl.LCWays() != 9 {
-		t.Errorf("LC should yield one way to 9, got %d", r.ctl.LCWays())
-	}
-	for i := 0; i < 20; i++ {
-		r.tick()
-	}
-	if r.ctl.LCWays() != DefaultConfig(0.5).MinLC {
-		t.Errorf("sustained slack should shrink LC to its floor, got %d", r.ctl.LCWays())
-	}
-}
-
-func TestDeadZoneHolds(t *testing.T) {
-	r := newRig(t, DefaultConfig(0.5))
-	r.ipc = 0.51 // within ±5% of target
-	r.tick()
-	r.tick()
-	if r.ctl.LCWays() != 10 {
-		t.Errorf("IPC inside the margin should not move the split, got %d", r.ctl.LCWays())
-	}
-}
-
-func TestAsymmetricResponse(t *testing.T) {
-	// Confiscation (2 ways) must outpace yielding (1 way): the
-	// controller defends the SLO faster than it donates.
-	r := newRig(t, DefaultConfig(0.5))
-	r.ipc = 0.3
-	r.tick() // 12
-	r.ipc = 0.8
-	r.tick() // 11
-	r.tick() // 10
-	if r.ctl.LCWays() != 10 {
-		t.Errorf("after 1 violation + 2 slack rounds, expected back to 10, got %d", r.ctl.LCWays())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPolicy(DefaultConfig(0.5), tc.lcName)
+			v := &policy.View{TotalWays: 20, Workloads: make([]policy.WorkloadView, len(tc.workloads))}
+			for i, name := range tc.workloads {
+				v.Workloads[i].Name = name
+			}
+			var g policy.Grants
+			for _, ipc := range tc.ipcs {
+				for i := range v.Workloads {
+					v.Workloads[i].IPC = ipc
+				}
+				p.Propose(v, &g)
+				sum := 0
+				for _, w := range g.Ways {
+					sum += w
+				}
+				if sum != v.TotalWays || !g.PoolEmpty {
+					t.Fatalf("grants %v sum to %d (pool empty %v), want all %d ways handed out",
+						g.Ways, sum, g.PoolEmpty, v.TotalWays)
+				}
+			}
+			if fmt.Sprint(g.Ways) != fmt.Sprint(tc.want) {
+				t.Errorf("grants %v, want %v", g.Ways, tc.want)
+			}
+		})
 	}
 }

@@ -25,8 +25,9 @@
 //     partitions ways per cluster (cf. LFOC's fairness-oriented
 //     clustering).
 //
-// The heracles and ucp packages adapt their comparison controllers to
-// the same interface, so every engine runs under one harness.
+// The heracles and ucp packages implement the paper's comparison
+// baselines (two-class Heracles, utility-based partitioning) as
+// policies too, so every engine runs inside the same controller.
 package policy
 
 import (
@@ -219,6 +220,24 @@ type Stateful interface {
 // still enforced.
 type Independent interface {
 	IndependentAllocator() bool
+}
+
+// EvenSplit fills ways with an even division of total, earlier entries
+// taking the remainder; every entry gets at least one way.
+func EvenSplit(ways []int, total int) {
+	n := len(ways)
+	if n == 0 {
+		return
+	}
+	each, extra := total/n, total%n
+	for i := range ways {
+		w := each
+		if extra > 0 {
+			w++
+			extra--
+		}
+		ways[i] = max(w, 1)
+	}
 }
 
 // ModelState is a workload's portable sequence-model state: the phase

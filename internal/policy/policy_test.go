@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -93,6 +94,27 @@ func TestOptimizeSplit(t *testing.T) {
 	}
 	if _, ok := OptimizeSplit([]SplitCand{{Min: 2, Max: 3}, {Min: 2, Max: 3}}, 3); ok {
 		t.Error("infeasible minimums must report !ok")
+	}
+}
+
+// TestEvenSplit: earlier entries take the remainder, and nobody drops
+// below one way even when there are more entries than ways.
+func TestEvenSplit(t *testing.T) {
+	cases := []struct {
+		n, total int
+		want     []int
+	}{
+		{n: 2, total: 20, want: []int{10, 10}},
+		{n: 3, total: 20, want: []int{7, 7, 6}},
+		{n: 3, total: 2, want: []int{1, 1, 1}},
+		{n: 0, total: 20, want: []int{}},
+	}
+	for _, tc := range cases {
+		got := make([]int, tc.n)
+		EvenSplit(got, tc.total)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("EvenSplit(%d ways, %d) = %v, want %v", tc.n, tc.total, got, tc.want)
+		}
 	}
 }
 

@@ -2,11 +2,9 @@ package ucp
 
 import "repro/internal/policy"
 
-// Policy adapts UCP to the policy.AllocationPolicy interface: every
-// round it reads each workload's shadow-tag utility curve, runs the
-// lookahead allocation, and decays the monitors — Controller.Tick
-// expressed as a policy, so UCP lands in the same comparison harness
-// as the other allocation engines.
+// Policy is UCP as an allocation policy: every round it reads each
+// workload's shadow-tag utility curve, runs the lookahead allocation,
+// and decays the monitors.
 //
 // UCP needs an access stream per workload (the UMON shadow tags), which
 // the policy view does not carry; the harness supplies monitorOf to
@@ -26,7 +24,7 @@ type Policy struct {
 	mons   []*Monitor
 }
 
-// NewPolicy builds the adapter. monitorOf resolves a workload name to
+// NewPolicy builds the policy. monitorOf resolves a workload name to
 // its shadow-tag monitor (return nil for unmonitored workloads);
 // minWays floors every allocation (≥1 enforced).
 func NewPolicy(monitorOf func(name string) *Monitor, minWays int) *Policy {
@@ -60,9 +58,7 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 	}
 	if covered {
 		if alloc, err := Lookahead(p.curves, total, p.minWays); err == nil {
-			for i, w := range alloc {
-				g.Ways[i] = w
-			}
+			copy(g.Ways, alloc)
 			for _, mon := range p.mons {
 				mon.Reset()
 			}
@@ -74,27 +70,6 @@ func (p *Policy) Propose(v *policy.View, g *policy.Grants) {
 			return
 		}
 	}
-	evenUCPSplit(g.Ways, total)
+	policy.EvenSplit(g.Ways, total)
 	g.PoolEmpty = true
-}
-
-// evenUCPSplit fills ways with an even division of total, earlier
-// entries taking the remainder.
-func evenUCPSplit(ways []int, total int) {
-	n := len(ways)
-	if n == 0 {
-		return
-	}
-	each, extra := total/n, total%n
-	for i := range ways {
-		w := each
-		if extra > 0 {
-			w++
-			extra--
-		}
-		if w < 1 {
-			w = 1
-		}
-		ways[i] = w
-	}
 }

@@ -5,8 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bits"
-	"repro/internal/cat"
+	"repro/internal/policy"
 )
 
 func TestNewMonitorValidation(t *testing.T) {
@@ -184,58 +183,48 @@ func TestLookaheadInfeasible(t *testing.T) {
 	}
 }
 
-type fakeBackend struct{ ways int }
-
-func (f *fakeBackend) TotalWays() int                               { return f.ways }
-func (f *fakeBackend) Apply(cos int, m bits.CBM, cores []int) error { return nil }
-
-func TestControllerLifecycle(t *testing.T) {
-	mgr, _ := cat.NewManager(&fakeBackend{ways: 8})
-	if _, err := New(nil, nil, 64, 1); err == nil {
-		t.Error("nil manager should fail")
-	}
-	if _, err := New(mgr, nil, 64, 1); err == nil {
-		t.Error("no targets should fail")
-	}
-	targets := []Target{
-		{Name: "hot", Cores: []int{0}},
-		{Name: "stream", Cores: []int{1}},
-	}
-	ctl, err := New(mgr, targets, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctl.Ways("hot") != 4 || ctl.Ways("stream") != 4 {
-		t.Errorf("initial even split wrong: %d/%d", ctl.Ways("hot"), ctl.Ways("stream"))
-	}
-
-	// Feed the monitors: "hot" reuses 2 lines per set, "stream" cycles
-	// far past the associativity.
-	hotMon, ok := ctl.Monitor("hot")
-	if !ok {
-		t.Fatal("hot monitor missing")
-	}
-	streamMon, _ := ctl.Monitor("stream")
-	if _, ok := ctl.Monitor("nope"); ok {
-		t.Error("unknown monitor should not resolve")
-	}
+// TestPolicyPropose checks the policy's two paths: with every workload
+// monitored it runs lookahead over the measured curves; with any
+// monitor missing it splits the cache evenly.
+func TestPolicyPropose(t *testing.T) {
+	// "hot" reuses 3 lines per set, "stream" cycles far past the
+	// associativity.
+	hot, _ := NewMonitor(64, 8, 1)
+	stream, _ := NewMonitor(64, 8, 1)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 30000; i++ {
-		hotMon.Observe(uint64(rng.Intn(192))) // 3 lines/set
+		hot.Observe(uint64(rng.Intn(192)))
 	}
 	for pass := 0; pass < 20; pass++ {
 		for l := uint64(0); l < 1024; l++ {
-			streamMon.Observe(l)
+			stream.Observe(l)
 		}
 	}
-	if err := ctl.Tick(); err != nil {
-		t.Fatal(err)
+	mons := map[string]*Monitor{"hot": hot, "stream": stream}
+	monitorOf := func(name string) *Monitor { return mons[name] }
+	view := func(names ...string) *policy.View {
+		v := &policy.View{TotalWays: 8}
+		for _, n := range names {
+			v.Workloads = append(v.Workloads, policy.WorkloadView{Name: n})
+		}
+		return v
 	}
-	if ctl.Ways("hot") <= ctl.Ways("stream") {
-		t.Errorf("UCP should favour the reusing workload: hot=%d stream=%d",
-			ctl.Ways("hot"), ctl.Ways("stream"))
-	}
-	if err := mgr.Validate(); err != nil {
-		t.Error(err)
-	}
+
+	t.Run("favours the reusing workload", func(t *testing.T) {
+		var g policy.Grants
+		NewPolicy(monitorOf, 1).Propose(view("hot", "stream"), &g)
+		if g.Ways[0] <= g.Ways[1] {
+			t.Errorf("UCP should favour the reusing workload: hot=%d stream=%d", g.Ways[0], g.Ways[1])
+		}
+		if g.Ways[0]+g.Ways[1] > 8 || g.Ways[1] < 1 {
+			t.Errorf("grants %v break the budget or the 1-way floor", g.Ways)
+		}
+	})
+	t.Run("even split without a monitor", func(t *testing.T) {
+		var g policy.Grants
+		NewPolicy(monitorOf, 1).Propose(view("hot", "stream", "unmonitored"), &g)
+		if g.Ways[0] != 3 || g.Ways[1] != 3 || g.Ways[2] != 2 || !g.PoolEmpty {
+			t.Errorf("grants %v (pool empty %v), want the even split [3 3 2]", g.Ways, g.PoolEmpty)
+		}
+	})
 }
