@@ -172,7 +172,7 @@ func BenchmarkControllerTick(b *testing.B) {
 	sim.Host().RunInterval()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sim.Controller().Tick(); err != nil {
+		if err := sim.Multi().Tick(); err != nil {
 			b.Fatal(err)
 		}
 	}

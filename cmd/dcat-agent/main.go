@@ -24,14 +24,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/daemoncfg"
 	"repro/internal/httpstatus"
 	"repro/internal/msr"
 	"repro/internal/obs"
@@ -50,43 +48,8 @@ type obsWiring struct {
 	streamBuf  int
 }
 
-// groupFlag mirrors dcatd's repeated -group name=cpus@baseline flag.
-type groupFlag []groupSpec
-
-type groupSpec struct {
-	name     string
-	cores    []int
-	baseline int
-}
-
-func (g *groupFlag) String() string { return fmt.Sprintf("%d groups", len(*g)) }
-
-func (g *groupFlag) Set(v string) error {
-	name, rest, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want name=cpus@baseline, got %q", v)
-	}
-	cpus, baseStr, ok := strings.Cut(rest, "@")
-	if !ok {
-		return fmt.Errorf("want name=cpus@baseline, got %q", v)
-	}
-	cores, err := resctrl.ParseCPUList(cpus)
-	if err != nil {
-		return err
-	}
-	if len(cores) == 0 {
-		return fmt.Errorf("group %q has no cpus", name)
-	}
-	base, err := strconv.Atoi(baseStr)
-	if err != nil || base < 1 {
-		return fmt.Errorf("group %q: bad baseline %q", name, baseStr)
-	}
-	*g = append(*g, groupSpec{name: name, cores: cores, baseline: base})
-	return nil
-}
-
 func main() {
-	var groups groupFlag
+	var groups daemoncfg.GroupFlag
 	var (
 		name      = flag.String("name", defaultName(), "agent name, unique per coordinator")
 		coord     = flag.String("coord", "", "coordinator base URL, e.g. http://coord:9400 (empty = standalone)")
@@ -151,49 +114,20 @@ func defaultName() string {
 	return "dcat-agent"
 }
 
-// simLocal adapts a simulation — single- or multi-socket — to the
-// agent's Local surface: each tick advances the simulated host one
-// interval, then runs the controller(s), the same path dcatd -demo
-// drives. On multi-socket hosts it also implements cluster.Mover, so
-// coordinator placement directives become live migrations.
+// simLocal adapts a simulation to the agent's Local surface: each tick
+// advances the simulated host one interval, then runs the controller,
+// the same path dcatd -demo drives. It also implements cluster.Mover,
+// so on multi-socket hosts coordinator placement directives become
+// live migrations.
 type simLocal struct {
+	*dcat.MultiController
 	sim *dcat.Simulation
 }
 
-func (s *simLocal) Tick() error             { return s.sim.Step() }
-func (s *simLocal) Snapshot() []core.Status { return s.sim.Snapshot() }
+func (s simLocal) Tick() error { return s.sim.Step() }
 
-func (s *simLocal) Ticks() int {
-	if m := s.sim.Multi(); m != nil {
-		return m.Ticks()
-	}
-	return s.sim.Controller().Ticks()
-}
-
-func (s *simLocal) TotalWays() int {
-	if m := s.sim.Multi(); m != nil {
-		return m.TotalWays()
-	}
-	return s.sim.Controller().TotalWays()
-}
-
-func (s *simLocal) SetWayCap(name string, ways int) bool {
-	if m := s.sim.Multi(); m != nil {
-		return m.SetWayCap(name, ways)
-	}
-	return s.sim.Controller().SetWayCap(name, ways)
-}
-
-func (s *simLocal) MigrateVM(name string, toSocket int) error {
+func (s simLocal) MigrateVM(name string, toSocket int) error {
 	return s.sim.MigrateVM(name, toSocket)
-}
-
-// loopObs is the observability surface runAgent wires regardless of
-// loop shape — *dcat.Controller and *dcat.MultiController both
-// implement it.
-type loopObs interface {
-	SetSink(obs.Sink)
-	RegisterMetrics(*telemetry.Registry)
 }
 
 // runDemo runs the agent over the simulated host (MLR + MLOAD +
@@ -260,19 +194,17 @@ func runDemo(ctx context.Context, name string, client *cluster.Client, httpAddr 
 	if err := sim.Start(dcat.DefaultConfig(), baselines); err != nil {
 		return err
 	}
-	local := &simLocal{sim: sim}
-	var lo loopObs = sim.Controller()
+	local := simLocal{MultiController: sim.Multi(), sim: sim}
 	var mover cluster.Mover
-	if m := sim.Multi(); m != nil {
-		lo = m
+	if sockets > 1 {
 		mover = local
 	}
-	return runAgent(ctx, name, client, httpAddr, period, intervals, local, lo, mover, ob)
+	return runAgent(ctx, name, client, httpAddr, period, intervals, local, local.MultiController, mover, ob)
 }
 
 // runHardware runs the agent over resctrl + MSR counters, dcatd's
 // production path.
-func runHardware(ctx context.Context, name string, client *cluster.Client, httpAddr string, period time.Duration, root, msrRoot string, groups groupFlag, ob obsWiring) error {
+func runHardware(ctx context.Context, name string, client *cluster.Client, httpAddr string, period time.Duration, root, msrRoot string, groups []daemoncfg.Group, ob obsWiring) error {
 	if len(groups) == 0 {
 		return fmt.Errorf("no -group flags; nothing to manage (did you mean -demo?)")
 	}
@@ -280,17 +212,12 @@ func runHardware(ctx context.Context, name string, client *cluster.Client, httpA
 	if err != nil {
 		return fmt.Errorf("opening resctrl (is it mounted?): %w", err)
 	}
-	var allCores []int
-	var targets []dcat.Target
-	for _, g := range groups {
-		allCores = append(allCores, g.cores...)
-		targets = append(targets, dcat.Target{Name: g.name, Cores: g.cores, BaselineWays: g.baseline})
-	}
-	counters, err := msr.Open(msr.DevFS{Root: msrRoot}, allCores)
+	f := daemoncfg.File{Groups: groups}
+	counters, err := msr.Open(msr.DevFS{Root: msrRoot}, f.AllCores())
 	if err != nil {
 		return fmt.Errorf("programming MSR counters (is the msr module loaded?): %w", err)
 	}
-	ctl, err := dcat.NewController(dcat.DefaultConfig(), backend, counters, targets)
+	ctl, err := dcat.NewController(dcat.DefaultConfig(), backend, counters, f.Targets())
 	if err != nil {
 		return err
 	}
@@ -304,7 +231,7 @@ func runHardware(ctx context.Context, name string, client *cluster.Client, httpA
 // tally so the coordinator sees fleet-wide transition rates, and — in
 // coordinator mode — the flight-recorder streamer that uploads every
 // event to the fleet store.
-func runAgent(ctx context.Context, name string, client *cluster.Client, httpAddr string, period time.Duration, intervals int, local cluster.Local, ctl loopObs, mover cluster.Mover, ob obsWiring) error {
+func runAgent(ctx context.Context, name string, client *cluster.Client, httpAddr string, period time.Duration, intervals int, local cluster.Local, ctl *dcat.MultiController, mover cluster.Mover, ob obsWiring) error {
 	var streamer *cluster.Streamer
 	if client != nil {
 		var err error
@@ -353,7 +280,7 @@ func runAgent(ctx context.Context, name string, client *cluster.Client, httpAddr
 	// as the controller's, so they reach the fleet recorder too.
 	agent.SetSink(chain)
 	if httpAddr != "" {
-		src := httpstatus.Locked{Src: localSource{local}, Do: agent.Do}
+		src := httpstatus.Locked{Src: ctl, Do: agent.Do}
 		srv := httpstatus.ServeOpts(httpAddr, src, opts)
 		defer func() {
 			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -387,21 +314,4 @@ func runAgent(ctx context.Context, name string, client *cluster.Client, httpAddr
 			}
 		}
 	}
-}
-
-// localSource adapts a cluster.Local to the httpstatus Source surface.
-type localSource struct {
-	l cluster.Local
-}
-
-func (s localSource) Snapshot() []core.Status { return s.l.Snapshot() }
-func (s localSource) Ticks() int              { return s.l.Ticks() }
-func (s localSource) Occupancy() (map[string]uint64, bool) {
-	type occ interface {
-		Occupancy() (map[string]uint64, bool)
-	}
-	if o, ok := s.l.(occ); ok {
-		return o.Occupancy()
-	}
-	return nil, false
 }

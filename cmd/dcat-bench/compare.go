@@ -47,6 +47,10 @@ func compareReports(w io.Writer, oldRep, newRep report) []regression {
 		fmt.Fprintf(w, "warning: comparing quick=%t against baseline quick=%t — timings are not like-for-like\n",
 			newRep.Quick, oldRep.Quick)
 	}
+	if oldRep.Jobs != newRep.Jobs {
+		fmt.Fprintf(w, "warning: comparing jobs=%d against baseline jobs=%d — timings are not like-for-like\n",
+			newRep.Jobs, oldRep.Jobs)
+	}
 	oldByID := make(map[string]reportEntry, len(oldRep.Experiments))
 	for _, e := range oldRep.Experiments {
 		oldByID[e.ID] = e

@@ -52,6 +52,19 @@ func TestCompareReportsQuickMismatchWarns(t *testing.T) {
 	}
 }
 
+func TestCompareReportsJobsMismatchWarns(t *testing.T) {
+	var sb strings.Builder
+	compareReports(&sb, report{Jobs: 1}, report{Jobs: 4})
+	if !strings.Contains(sb.String(), "warning: comparing jobs=4 against baseline jobs=1") {
+		t.Fatalf("no jobs-mismatch warning:\n%s", sb.String())
+	}
+	sb.Reset()
+	compareReports(&sb, report{Jobs: 2}, report{Jobs: 2})
+	if strings.Contains(sb.String(), "warning") {
+		t.Fatalf("matching jobs should not warn:\n%s", sb.String())
+	}
+}
+
 // TestCompareEndToEnd runs the real gate path: write a baseline with a
 // fabricated slow entry, re-run the cheapest experiment, and check the
 // comparison verdict both ways through realMain.

@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -49,7 +48,7 @@ type obsFlags struct {
 // attach wires a decision-trace journal (plus the optional continuous
 // JSONL trace file) and the metrics registry into the controller, and
 // returns the HTTP surfaces plus a cleanup that flushes the trace.
-func (o obsFlags) attach(ctl *dcat.Controller) (httpstatus.Options, func(), error) {
+func (o obsFlags) attach(ctl *dcat.MultiController) (httpstatus.Options, func(), error) {
 	journal := obs.NewJournal(o.journalLen)
 	reg := telemetry.NewRegistry()
 	opts := httpstatus.Options{Journal: journal, Metrics: reg, Pprof: o.pprof}
@@ -72,43 +71,8 @@ func (o obsFlags) attach(ctl *dcat.Controller) (httpstatus.Options, func(), erro
 	return opts, closer, nil
 }
 
-// groupFlag collects repeated -group name=cpus@baseline flags.
-type groupFlag []groupSpec
-
-type groupSpec struct {
-	name     string
-	cores    []int
-	baseline int
-}
-
-func (g *groupFlag) String() string { return fmt.Sprintf("%d groups", len(*g)) }
-
-func (g *groupFlag) Set(v string) error {
-	name, rest, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want name=cpus@baseline, got %q", v)
-	}
-	cpus, baseStr, ok := strings.Cut(rest, "@")
-	if !ok {
-		return fmt.Errorf("want name=cpus@baseline, got %q", v)
-	}
-	cores, err := resctrl.ParseCPUList(cpus)
-	if err != nil {
-		return err
-	}
-	if len(cores) == 0 {
-		return fmt.Errorf("group %q has no cpus", name)
-	}
-	base, err := strconv.Atoi(baseStr)
-	if err != nil || base < 1 {
-		return fmt.Errorf("group %q: bad baseline %q", name, baseStr)
-	}
-	*g = append(*g, groupSpec{name: name, cores: cores, baseline: base})
-	return nil
-}
-
 func main() {
-	var groups groupFlag
+	var groups daemoncfg.GroupFlag
 	var (
 		root      = flag.String("resctrl", resctrl.DefaultRoot, "resctrl filesystem root")
 		msrRoot   = flag.String("msr", "/dev/cpu", "msr device root")
@@ -160,7 +124,9 @@ func main() {
 	case *demo:
 		err = runDemo(ctx, cfg, *demoDir, *intervals, *httpAddr, ob)
 	default:
-		err = runHardware(ctx, cfg, *root, *msrRoot, *period, groups, *httpAddr, ob)
+		err = runHardware(ctx, cfg, &daemoncfg.File{
+			ResctrlRoot: *root, MSRRoot: *msrRoot, PeriodDuration: *period, HTTP: *httpAddr, Groups: groups,
+		}, ob)
 	}
 	if err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "dcatd:", err)
@@ -178,64 +144,38 @@ func runFromConfig(ctx context.Context, path string, ob obsFlags) error {
 	if err != nil {
 		return err
 	}
-	var groups groupFlag
-	for _, g := range f.Groups {
-		groups = append(groups, groupSpec{name: g.Name, cores: g.Cores, baseline: g.BaselineWays})
-	}
-	return runHardware(ctx, cfg, f.ResctrlRoot, f.MSRRoot, f.PeriodDuration, groups, f.HTTP, ob)
+	return runHardware(ctx, cfg, f, ob)
 }
 
-// runHardware is the production loop: resctrl backend + MSR counters.
-func runHardware(ctx context.Context, cfg dcat.Config, root, msrRoot string, period time.Duration, groups groupFlag, httpAddr string, ob obsFlags) error {
-	if len(groups) == 0 {
+// runHardware is the production loop: resctrl backend + MSR counters,
+// managing the groups of f (from the flags or a configuration file).
+func runHardware(ctx context.Context, cfg dcat.Config, f *daemoncfg.File, ob obsFlags) error {
+	if len(f.Groups) == 0 {
 		return fmt.Errorf("no -group flags; nothing to manage")
 	}
-	backend, err := dcat.NewResctrlBackend(root)
+	backend, err := dcat.NewResctrlBackend(f.ResctrlRoot)
 	if err != nil {
 		return fmt.Errorf("opening resctrl (is it mounted?): %w", err)
 	}
-	var allCores []int
-	var targets []dcat.Target
-	for _, g := range groups {
-		allCores = append(allCores, g.cores...)
-		targets = append(targets, dcat.Target{Name: g.name, Cores: g.cores, BaselineWays: g.baseline})
-	}
-	counters, err := msr.Open(msr.DevFS{Root: msrRoot}, allCores)
+	counters, err := msr.Open(msr.DevFS{Root: f.MSRRoot}, f.AllCores())
 	if err != nil {
 		return fmt.Errorf("programming MSR counters (is the msr module loaded?): %w", err)
 	}
-	ctl, err := dcat.NewController(cfg, backend, counters, targets)
+	ctl, err := dcat.NewController(cfg, backend, counters, f.Targets())
 	if err != nil {
 		return err
 	}
-	opts, closeTrace, err := ob.attach(ctl)
-	if err != nil {
-		return err
-	}
-	defer closeTrace()
-	var mu sync.Mutex
-	stopHTTP := serveStatus(httpAddr, ctl, &mu, opts)
-	defer stopHTTP()
-
-	ticker := time.NewTicker(period)
+	ticker := time.NewTicker(f.PeriodDuration)
 	defer ticker.Stop()
-	fmt.Printf("dcatd: managing %d groups on %s every %s\n", len(groups), root, period)
-	for {
+	fmt.Printf("dcatd: managing %d groups on %s every %s\n", len(f.Groups), f.ResctrlRoot, f.PeriodDuration)
+	return runLoop(ctx, ctl, f.HTTP, ob, func() bool {
 		select {
 		case <-ctx.Done():
-			fmt.Println("dcatd: shutting down")
-			return nil
+			return false
 		case <-ticker.C:
-			mu.Lock()
-			err := ctl.Tick()
-			snap := ctl.Snapshot()
-			mu.Unlock()
-			if err != nil {
-				return err
-			}
-			logSnapshot(snap)
+			return true
 		}
-	}
+	})
 }
 
 // runDemo exercises the identical control path against a mock tree fed
@@ -297,29 +237,18 @@ func runDemo(ctx context.Context, cfg dcat.Config, dir string, intervals int, ht
 	if err != nil {
 		return err
 	}
-	opts, closeTrace, err := ob.attach(ctl)
-	if err != nil {
-		return err
-	}
-	defer closeTrace()
-	var mu sync.Mutex
-	stopHTTP := serveStatus(httpAddr, ctl, &mu, opts)
-	defer stopHTTP()
 	fmt.Printf("dcatd demo: mock resctrl tree at %s\n", dir)
-	for i := 1; intervals == 0 || i <= intervals; i++ {
-		if ctx.Err() != nil {
-			fmt.Println("dcatd: shutting down")
-			return nil
+	done := 0
+	err = runLoop(ctx, ctl, httpAddr, ob, func() bool {
+		if ctx.Err() != nil || (intervals > 0 && done == intervals) {
+			return false
 		}
+		done++
 		sim.Host().RunInterval()
-		mu.Lock()
-		err := ctl.Tick()
-		snap := ctl.Snapshot()
-		mu.Unlock()
-		if err != nil {
-			return err
-		}
-		logSnapshot(snap)
+		return true
+	})
+	if err != nil || ctx.Err() != nil {
+		return err
 	}
 	fmt.Println("schemata files after the run:")
 	entries, err := os.ReadDir(dir)
@@ -339,9 +268,38 @@ func runDemo(ctx context.Context, cfg dcat.Config, dir string, intervals int, ht
 	return nil
 }
 
+// runLoop wires the decision trace, metrics and status server into
+// ctl, then ticks it once per round for as long as next allows; next
+// waits out the period on hardware and advances the simulator in the
+// demo. The status server reads ctl under the same lock.
+func runLoop(ctx context.Context, ctl *dcat.MultiController, httpAddr string, ob obsFlags, next func() bool) error {
+	opts, closeTrace, err := ob.attach(ctl)
+	if err != nil {
+		return err
+	}
+	defer closeTrace()
+	var mu sync.Mutex
+	stopHTTP := serveStatus(httpAddr, ctl, &mu, opts)
+	defer stopHTTP()
+	for next() {
+		mu.Lock()
+		err := ctl.Tick()
+		snap := ctl.Snapshot()
+		mu.Unlock()
+		if err != nil {
+			return err
+		}
+		logSnapshot(snap)
+	}
+	if ctx.Err() != nil {
+		fmt.Println("dcatd: shutting down")
+	}
+	return nil
+}
+
 // serveStatus starts the HTTP status server when addr is set; the
 // returned function shuts it down.
-func serveStatus(addr string, ctl *dcat.Controller, mu *sync.Mutex, opts httpstatus.Options) func() {
+func serveStatus(addr string, ctl *dcat.MultiController, mu *sync.Mutex, opts httpstatus.Options) func() {
 	if addr == "" {
 		return func() {}
 	}

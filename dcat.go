@@ -5,7 +5,7 @@
 //
 // Two ways to use it:
 //
-//   - Controller + a CAT backend. On hardware with resctrl mounted,
+//   - NewController + a CAT backend. On hardware with resctrl mounted,
 //     NewResctrlBackend drives the real kernel interface; you supply a
 //     CounterReader for the five §3.2 perf events. Everywhere else,
 //     the simulated backend below stands in.
@@ -15,6 +15,9 @@
 //     LLC with way masks, per-core L1s, perf counters, VMs pinned to
 //     dedicated cores, and the controller on top. The examples/ and the
 //     benchmark harness are built on this.
+//
+// Either way the loop handle is a MultiController: one dCat loop per
+// CAT domain (LLC), where a single-socket host is simply one socket.
 package dcat
 
 import (
@@ -44,9 +47,8 @@ type (
 	Target = core.Target
 	// Status is a workload's externally visible controller state.
 	Status = core.Status
-	// Controller is the dCat daemon loop.
-	Controller = core.Controller
-	// MultiController is one dCat loop per socket on a NUMA host.
+	// MultiController is the dCat daemon loop: one decision loop per
+	// socket's CAT domain, ticked together (one on a single socket).
 	MultiController = core.MultiController
 	// PerfTable is a per-phase ways → normalized-IPC table (§3.5).
 	PerfTable = core.PerfTable
@@ -89,14 +91,14 @@ type TraceRecorder = workload.Recorder
 // one-way growth, max-fairness policy.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// NewController wires a dCat controller to a backend and counter
+// NewController wires a one-socket dCat loop to a backend and counter
 // source and installs every target's baseline allocation.
-func NewController(cfg Config, backend Backend, counters CounterReader, targets []Target) (*Controller, error) {
+func NewController(cfg Config, backend Backend, counters CounterReader, targets []Target) (*MultiController, error) {
 	mgr, err := cat.NewManager(backend)
 	if err != nil {
 		return nil, err
 	}
-	return core.New(cfg, mgr, counters, targets)
+	return core.NewMulti(cfg, counters, []core.SocketSpec{{Mgr: mgr, Targets: targets}})
 }
 
 // NewResctrlBackend opens the Linux resctrl filesystem (or a
@@ -149,11 +151,11 @@ func MirrorBackend(primary, secondary Backend) (Backend, error) {
 	return &mirrorBackend{primary: primary, secondary: secondary}, nil
 }
 
-// SimBackend returns the CAT backend controlling a simulation's LLC,
-// for wiring a Controller manually (NewSimulation + Start do this for
-// you; this is for mirrored or custom setups).
+// SimBackend returns the CAT backend controlling socket 0's LLC, for
+// wiring a controller manually (NewSimulation + Start do this for you;
+// this is for mirrored or custom setups).
 func (s *Simulation) SimBackend() (Backend, error) {
-	return cat.NewSimBackend(s.h.System())
+	return s.h.CATBackend(0)
 }
 
 // SimConfig sizes a simulation.
@@ -171,10 +173,9 @@ type SimConfig struct {
 	// Seed drives all randomness (default 1).
 	Seed int64
 	// Sockets builds a NUMA simulation with that many sockets of the
-	// selected Machine (0 and 1 mean single-socket). With several
-	// sockets, Start wires one controller per LLC; place VMs with
-	// AddVMOn and their memory with the socket-aware workload
-	// constructors.
+	// selected Machine (0 and 1 mean single-socket). Start wires one
+	// controller per populated LLC; place VMs with AddVMOn and their
+	// memory with the socket-aware workload constructors.
 	Sockets int
 	// RemotePenalty is the cross-socket DRAM penalty in cycles
 	// (default memsys.DefaultRemotePenalty when Sockets > 1).
@@ -194,14 +195,12 @@ const (
 	MachineXeonD
 )
 
-// Simulation is a multi-tenant host under dCat: a simulated machine,
-// its CAT backend(s), and (once Start is called) the controller — one
-// per socket on a NUMA simulation.
+// Simulation is a multi-tenant host under dCat: a simulated machine
+// and (once Start is called) its controller, one loop per populated
+// socket.
 type Simulation struct {
-	h       *host.Host
-	backend *cat.SimBackend // single-socket CAT domain (nil on multi-socket hosts)
-	ctl     *Controller     // single-socket loop (nil on multi-socket hosts)
-	mctl    *MultiController
+	h    *host.Host
+	mctl *MultiController
 }
 
 // NewSimulation builds the host.
@@ -238,15 +237,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulation{h: h}
-	if nsys := h.NUMA(); nsys == nil || nsys.Sockets() == 1 {
-		backend, err := cat.NewSimBackend(h.System())
-		if err != nil {
-			return nil, err
-		}
-		s.backend = backend
-	}
-	return s, nil
+	return &Simulation{h: h}, nil
 }
 
 // Host exposes the underlying simulated socket.
@@ -268,12 +259,11 @@ func (s *Simulation) AddVMOn(socket int, name string, cores int, w Workload) err
 	return err
 }
 
-func (s *Simulation) started() bool { return s.ctl != nil || s.mctl != nil }
+func (s *Simulation) started() bool { return s.mctl != nil }
 
-// Start creates the controller(s) with the given per-VM baseline ways
-// (every VM added so far must appear) and installs the baselines. On a
-// multi-socket simulation one controller per populated LLC is wired —
-// CAT domains are socket-local.
+// Start creates the controller with the given per-VM baseline ways
+// (every VM added so far must appear) and installs the baselines. One
+// loop per populated LLC is wired — CAT domains are socket-local.
 func (s *Simulation) Start(cfg Config, baselines map[string]int) error {
 	if s.started() {
 		return fmt.Errorf("dcat: already started")
@@ -291,18 +281,9 @@ func (s *Simulation) Start(cfg Config, baselines map[string]int) error {
 		targetsOn[vm.Socket] = append(targetsOn[vm.Socket],
 			Target{Name: vm.Name, Cores: vm.Cores, BaselineWays: b})
 	}
-	nsys := s.h.NUMA()
-	if nsys == nil || nsys.Sockets() == 1 {
-		ctl, err := NewController(cfg, s.backend, s.h.Counters(), targetsOn[0])
-		if err != nil {
-			return err
-		}
-		s.ctl = ctl
-		return nil
-	}
 	specs := make([]core.SocketSpec, 0, len(sockets))
 	for _, socket := range sockets {
-		backend, err := cat.NewNUMABackend(nsys, socket)
+		backend, err := s.h.CATBackend(socket)
 		if err != nil {
 			return err
 		}
@@ -321,16 +302,13 @@ func (s *Simulation) Start(cfg Config, baselines map[string]int) error {
 }
 
 // Step simulates one controller period (one simulated second): every
-// VM executes, then the controller(s) re-partition the cache.
+// VM executes, then the controller re-partitions the cache.
 func (s *Simulation) Step() error {
 	if !s.started() {
 		return fmt.Errorf("dcat: Start must be called before Step")
 	}
 	s.h.RunInterval()
-	if s.mctl != nil {
-		return s.mctl.Tick()
-	}
-	return s.ctl.Tick()
+	return s.mctl.Tick()
 }
 
 // Run calls Step n times.
@@ -345,21 +323,13 @@ func (s *Simulation) Run(n int) error {
 
 // Snapshot reports every workload's controller state (all sockets).
 func (s *Simulation) Snapshot() []Status {
-	if s.mctl != nil {
-		return s.mctl.Snapshot()
-	}
-	if s.ctl == nil {
+	if !s.started() {
 		return nil
 	}
-	return s.ctl.Snapshot()
+	return s.mctl.Snapshot()
 }
 
-// Controller exposes the running controller (nil before Start, and nil
-// on multi-socket simulations — use Multi there).
-func (s *Simulation) Controller() *Controller { return s.ctl }
-
-// Multi exposes the per-socket controller set of a multi-socket
-// simulation (nil before Start or on single-socket hosts).
+// Multi exposes the running controller (nil before Start).
 func (s *Simulation) Multi() *MultiController { return s.mctl }
 
 // MigrateVM live-migrates a running VM's execution to another socket:
@@ -371,8 +341,8 @@ func (s *Simulation) Multi() *MultiController { return s.mctl }
 // remote penalty, while LLC hits are socket-local. Only meaningful on
 // a started multi-socket simulation.
 func (s *Simulation) MigrateVM(name string, toSocket int) error {
-	if s.mctl == nil {
-		return fmt.Errorf("dcat: MigrateVM needs a started multi-socket simulation")
+	if !s.started() {
+		return fmt.Errorf("dcat: MigrateVM needs a started simulation")
 	}
 	vm, ok := s.h.VM(name)
 	if !ok {
@@ -401,16 +371,12 @@ func (s *Simulation) MigrateVM(name string, toSocket int) error {
 func (s *Simulation) Occupancy() map[string]uint64 {
 	out := make(map[string]uint64, len(s.h.VMs()))
 	for _, vm := range s.h.VMs() {
-		var reader cat.OccupancyReader = s.backend
-		if s.backend == nil {
-			b, err := cat.NewNUMABackend(s.h.NUMA(), vm.Socket)
-			if err != nil {
-				continue
-			}
-			reader = b
+		b, err := s.h.CATBackend(vm.Socket)
+		if err != nil {
+			continue
 		}
 		// COS id is irrelevant to the simulated reader.
-		v, err := reader.GroupOccupancy(1, vm.Cores)
+		v, err := b.GroupOccupancy(1, vm.Cores)
 		if err != nil {
 			continue
 		}

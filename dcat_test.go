@@ -50,10 +50,10 @@ func TestSimulationLifecycle(t *testing.T) {
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d entries", len(snap))
 	}
-	if w := sim.Controller().Ways("tenant"); w <= 3 {
+	if w := sim.Multi().Ways("tenant"); w <= 3 {
 		t.Errorf("cache-hungry tenant stuck at %d ways; should have grown", w)
 	}
-	if w := sim.Controller().Ways("neighbor"); w != 1 {
+	if w := sim.Multi().Ways("neighbor"); w != 1 {
 		t.Errorf("lookbusy neighbour at %d ways; should donate to 1", w)
 	}
 }

@@ -40,6 +40,13 @@ type OccupancyReader interface {
 	GroupOccupancy(cos int, cores []int) (uint64, error)
 }
 
+// MonitoredBackend is a Backend with CMT-style occupancy monitoring,
+// as both simulated CAT domains (SimBackend, NUMABackend) are.
+type MonitoredBackend interface {
+	Backend
+	OccupancyReader
+}
+
 // Occupancy returns each group's current LLC footprint in bytes, when
 // the backend supports monitoring (ok=false otherwise).
 func (m *Manager) Occupancy() (map[string]uint64, bool) {

@@ -10,10 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file runs dCat on a NUMA host: CAT domains are per-LLC, so a
-// multi-socket machine runs one full decision loop per socket — each
-// with its own cat.Manager over that socket's backend and its own
-// workload set — while sharing the journal and metrics plumbing. The
+// This file is the dCat loop handle every caller outside this package
+// holds. CAT domains are per-LLC, so a host runs one full decision loop
+// per socket — each with its own cat.Manager over that socket's backend
+// and its own workload set — while sharing the journal and metrics
+// plumbing; a single-socket host is simply one socket. The
 // MultiController is the thin fan-out over those loops; it adds no
 // policy of its own, matching real deployments where sockets are
 // independent CAT domains.
@@ -89,9 +90,6 @@ func (m *MultiController) TotalWays() int { return m.ctls[m.order[0]].TotalWays(
 // Sockets returns the socket IDs in tick order.
 func (m *MultiController) Sockets() []int { return append([]int(nil), m.order...) }
 
-// Controller returns one socket's loop (nil if the socket has none).
-func (m *MultiController) Controller(socket int) *Controller { return m.ctls[socket] }
-
 // SocketOf returns which socket's controller manages a workload.
 func (m *MultiController) SocketOf(name string) (int, bool) {
 	s, ok := m.homeOf[name]
@@ -113,6 +111,32 @@ func (m *MultiController) StateOf(name string) (State, bool) {
 		return m.ctls[s].StateOf(name)
 	}
 	return 0, false
+}
+
+// Table returns a copy of a workload's live performance table,
+// wherever it lives.
+func (m *MultiController) Table(name string) (PerfTable, bool) {
+	if s, ok := m.homeOf[name]; ok {
+		return m.ctls[s].Table(name)
+	}
+	return nil, false
+}
+
+// Occupancy merges every socket's measured LLC footprints, keyed by
+// workload. It reports ok only when every socket's CAT backend
+// supports monitoring.
+func (m *MultiController) Occupancy() (map[string]uint64, bool) {
+	out := make(map[string]uint64)
+	for _, s := range m.order {
+		occ, ok := m.ctls[s].Occupancy()
+		if !ok {
+			return nil, false
+		}
+		for name, v := range occ {
+			out[name] = v
+		}
+	}
+	return out, true
 }
 
 // SetWayCap forwards an advisory cap to the workload's controller.
@@ -201,13 +225,13 @@ func (m *MultiController) Migrate(name string, toSocket int, cores []int) error 
 
 // Snapshot concatenates the per-socket snapshots in tick order.
 func (m *MultiController) Snapshot() []Status {
-	var out []Status
+	out := make([]Status, 0, len(m.homeOf))
 	for _, s := range m.order {
-		snap := m.ctls[s].Snapshot()
-		for i := range snap {
-			snap[i].Socket = s
+		first := len(out)
+		out = append(out, m.ctls[s].Snapshot()...)
+		for i := first; i < len(out); i++ {
+			out[i].Socket = s
 		}
-		out = append(out, snap...)
 	}
 	return out
 }
@@ -225,6 +249,6 @@ func (m *MultiController) SetSink(sink obs.Sink) {
 // registry, distinguished by a socket="N" constant label.
 func (m *MultiController) RegisterMetrics(reg *telemetry.Registry) {
 	for _, s := range m.order {
-		m.ctls[s].RegisterMetricsSocket(reg, s)
+		m.ctls[s].registerMetrics(reg, s)
 	}
 }

@@ -89,8 +89,10 @@ type coreMetrics struct {
 // synchronously from its loop goroutine.
 func (c *Controller) SetSink(s obs.Sink) { c.sink = s }
 
-// RegisterMetrics registers the controller's metrics on reg and keeps
-// them updated from every subsequent Tick:
+// registerMetrics registers the controller's metrics on reg, every
+// family under a socket="N" constant label so one registry carries the
+// loops of every LLC side by side, and keeps them updated from every
+// subsequent Tick:
 //
 //	dcat_tick_seconds                  histogram — full tick latency
 //	dcat_state_transitions_total       counter{from,to}
@@ -98,24 +100,11 @@ func (c *Controller) SetSink(s obs.Sink) { c.sink = s }
 //	dcat_pool_free_ways                gauge — unallocated ways
 //	dcat_allocation_churn_ways_total   counter — |Δways| summed
 //
-// Call it once per controller per registry (metric names collide on a
-// second registration, by design).
-func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
-	c.metrics = newCoreMetrics(reg, nil)
-}
-
-// RegisterMetricsSocket is RegisterMetrics with a socket="N" constant
-// label on every family, so one registry can carry the controllers of
-// every LLC on a NUMA host side by side.
-func (c *Controller) RegisterMetricsSocket(reg *telemetry.Registry, socket int) {
-	c.metrics = newCoreMetrics(reg, []string{"socket", strconv.Itoa(socket)})
-}
-
-// newCoreMetrics registers the metric families, optionally under a set
-// of constant labels. With constLabels nil the exposition is identical
-// to what RegisterMetrics always produced.
-func newCoreMetrics(reg *telemetry.Registry, constLabels []string) *coreMetrics {
-	return &coreMetrics{
+// MultiController.RegisterMetrics calls it once per socket; metric
+// names collide on a second registration of the same socket, by design.
+func (c *Controller) registerMetrics(reg *telemetry.Registry, socket int) {
+	constLabels := []string{"socket", strconv.Itoa(socket)}
+	c.metrics = &coreMetrics{
 		tickSeconds: reg.Histogram("dcat_tick_seconds",
 			"Controller tick latency: sample, detect, categorize, allocate, apply.", nil, constLabels...),
 		transVec: reg.LabeledCounterConst("dcat_state_transitions_total",

@@ -53,7 +53,7 @@ func TestDecisionTrace(t *testing.T) {
 	r := newRig(t, DefaultConfig(), 12, []string{"web"}, []int{2},
 		map[string]behavior{"web": phasedMLR(6, 4, 30)})
 	r.ctl.SetSink(obs.Multi(j, fs))
-	r.ctl.RegisterMetrics(reg)
+	r.ctl.registerMetrics(reg, 0)
 	r.run(60)
 
 	events := j.Explain("web", 0)
@@ -155,9 +155,9 @@ func TestDecisionTrace(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE dcat_tick_seconds histogram",
-		"dcat_tick_seconds_count 60",
+		`dcat_tick_seconds_count{socket="0"} 60`,
 		"# TYPE dcat_state_transitions_total counter",
-		"dcat_phase_changes_total 1",
+		`dcat_phase_changes_total{socket="0"} 1`,
 		"# TYPE dcat_pool_free_ways gauge",
 		"# TYPE dcat_allocation_churn_ways_total counter",
 	} {
@@ -205,7 +205,7 @@ func TestTickAllocationsWithTracing(t *testing.T) {
 				sink = obs.Trace(sink, obs.NewIDGen(1))
 			}
 			ctl.SetSink(sink)
-			ctl.RegisterMetrics(telemetry.NewRegistry())
+			ctl.registerMetrics(telemetry.NewRegistry(), 0)
 		}
 		return testing.AllocsPerRun(200, func() {
 			for i := range targets {

@@ -60,7 +60,7 @@ func benchTick(b *testing.B, n int, traced bool) {
 	}
 	if traced {
 		ctl.SetSink(obs.NewJournal(obs.DefaultJournalSize))
-		ctl.RegisterMetrics(telemetry.NewRegistry())
+		ctl.registerMetrics(telemetry.NewRegistry(), 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

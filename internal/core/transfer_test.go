@@ -255,7 +255,7 @@ func TestMigrateCarriesState(t *testing.T) {
 	if got := multi.Ways("mover"); got != 3 {
 		t.Fatalf("arrival allocation %d, want the baseline 3", got)
 	}
-	tb, ok := multi.Controller(1).Table("mover")
+	tb, ok := multi.ctls[1].Table("mover")
 	if !ok || len(tb) < 3 {
 		t.Fatalf("performance table not carried: %v", tb)
 	}

@@ -1,6 +1,7 @@
 // Package daemoncfg loads dcatd's JSON configuration file: the managed
 // groups, the controller period and thresholds, and the listen address
-// — everything the command-line flags express, in reviewable form.
+// — everything the command-line flags express, in reviewable form. Its
+// GroupFlag parses the -group flags dcatd and dcat-agent share.
 //
 // Example:
 //
@@ -28,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -44,6 +46,37 @@ type Group struct {
 
 	// Cores is CPUs parsed; populated by Load.
 	Cores []int `json:"-"`
+}
+
+// GroupFlag is a flag.Value collecting repeated -group
+// name=cpus@baseline command-line flags as Groups, Cores parsed.
+type GroupFlag []Group
+
+func (g *GroupFlag) String() string { return fmt.Sprintf("%d groups", len(*g)) }
+
+// Set parses one name=cpus@baseline spec.
+func (g *GroupFlag) Set(v string) error {
+	name, rest, ok := strings.Cut(v, "=")
+	if !ok {
+		return fmt.Errorf("want name=cpus@baseline, got %q", v)
+	}
+	cpus, baseStr, ok := strings.Cut(rest, "@")
+	if !ok {
+		return fmt.Errorf("want name=cpus@baseline, got %q", v)
+	}
+	cores, err := resctrl.ParseCPUList(cpus)
+	if err != nil {
+		return err
+	}
+	if len(cores) == 0 {
+		return fmt.Errorf("group %q has no cpus", name)
+	}
+	base, err := strconv.Atoi(baseStr)
+	if err != nil || base < 1 {
+		return fmt.Errorf("group %q: bad baseline %q", name, baseStr)
+	}
+	*g = append(*g, Group{Name: name, CPUs: cpus, BaselineWays: base, Cores: cores})
+	return nil
 }
 
 // Thresholds overrides the paper's controller constants; zero fields

@@ -3,6 +3,8 @@ package daemoncfg
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -92,5 +94,68 @@ func TestLoad(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+func TestGroupFlag(t *testing.T) {
+	cases := []struct {
+		spec    string
+		want    Group
+		wantErr string // substring; "" means the spec parses
+	}{
+		{spec: "web=0-3@4", want: Group{Name: "web", CPUs: "0-3", BaselineWays: 4, Cores: []int{0, 1, 2, 3}}},
+		{spec: "batch=4,6-7@1", want: Group{Name: "batch", CPUs: "4,6-7", BaselineWays: 1, Cores: []int{4, 6, 7}}},
+		{spec: "web0-3@4", wantErr: "want name=cpus@baseline"},
+		{spec: "web=0-3", wantErr: "want name=cpus@baseline"},
+		{spec: "web=x@4", wantErr: "bad cpu list entry"},
+		{spec: "web=3-1@4", wantErr: "bad cpu range"},
+		{spec: "web=@4", wantErr: `group "web" has no cpus`},
+		{spec: "web=0-3@0", wantErr: `group "web": bad baseline "0"`},
+		{spec: "web=0-3@many", wantErr: `group "web": bad baseline "many"`},
+	}
+	for _, tc := range cases {
+		var g GroupFlag
+		err := g.Set(tc.spec)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("Set(%q) = %v, want error containing %q", tc.spec, err, tc.wantErr)
+			}
+			if len(g) != 0 {
+				t.Errorf("Set(%q) failed but kept %+v", tc.spec, g)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Set(%q): %v", tc.spec, err)
+			continue
+		}
+		if len(g) != 1 || !reflect.DeepEqual(g[0], tc.want) {
+			t.Errorf("Set(%q) = %+v, want [%+v]", tc.spec, g, tc.want)
+		}
+	}
+}
+
+// TestGroupFlagRepeats checks repeated flags accumulate in order and
+// feed the same Targets/AllCores a configuration file does.
+func TestGroupFlagRepeats(t *testing.T) {
+	var g GroupFlag
+	for _, spec := range []string{"web=0-3@4", "batch=4,6-7@2"} {
+		if err := g.Set(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.String() != "2 groups" {
+		t.Errorf("String() = %q", g.String())
+	}
+	fromFlags := File{Groups: g}
+	fromFile, err := Parse([]byte(goodConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromFlags.Targets(), fromFile.Targets()) {
+		t.Errorf("flag targets %+v differ from file targets %+v", fromFlags.Targets(), fromFile.Targets())
+	}
+	if !reflect.DeepEqual(fromFlags.AllCores(), fromFile.AllCores()) {
+		t.Errorf("flag cores %v differ from file cores %v", fromFlags.AllCores(), fromFile.AllCores())
 	}
 }

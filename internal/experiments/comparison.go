@@ -155,7 +155,7 @@ func recoveryIntervals(opts Options, useDCat bool) (int, error) {
 	}
 	recovered := 0
 	_, err = s.run(ModeDCat, cfg, wake+opts.SteadyIntervals,
-		func(interval int, ctl *core.Controller) {
+		func(interval int, ctl *core.MultiController) {
 			if recovered == 0 && interval > wake && ctl.Ways("victim") >= baseline {
 				recovered = interval - wake
 			}

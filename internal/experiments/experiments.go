@@ -213,11 +213,10 @@ func newScenario(opts Options, specs []vmSpec) (*scenario, error) {
 }
 
 // run executes the scenario for n intervals under the given mode,
-// invoking onTick after every interval. The returned controller is the
-// lone populated socket's loop; it is nil in ModeShared and when VMs
-// sit on more than one socket (use s.multi then).
-func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interval int, ctl *core.Controller)) (*core.Controller, error) {
-	var ctl *core.Controller
+// invoking onTick after every interval. The returned controller is
+// s.multi; it is nil in ModeShared.
+func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interval int, ctl *core.MultiController)) (*core.MultiController, error) {
+	s.multi = nil
 	if s.opts.AllocPolicy != "" && ctlCfg.NewPolicy == nil {
 		factory, err := policy.New(s.opts.AllocPolicy)
 		if err != nil {
@@ -234,9 +233,6 @@ func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interva
 			return nil, err
 		}
 		s.multi = m
-		if sockets := m.Sockets(); len(sockets) == 1 {
-			ctl = m.Controller(sockets[0])
-		}
 	default:
 		return nil, fmt.Errorf("experiments: unknown mode %d", mode)
 	}
@@ -249,10 +245,10 @@ func (s *scenario) run(mode Mode, ctlCfg core.Config, n int, onTick func(interva
 			}
 		}
 		if onTick != nil {
-			onTick(interval, ctl)
+			onTick(interval, s.multi)
 		}
 	})
-	return ctl, nil
+	return s.multi, nil
 }
 
 // targets collects controller targets for the scenario's VMs passing
@@ -287,13 +283,8 @@ func (s *scenario) targets(keep func(*host.VM) bool) ([]core.Target, error) {
 // buildMulti wires one CAT domain and dCat loop per socket that hosts
 // at least one VM; a single-socket host gets one loop over its LLC.
 func (s *scenario) buildMulti(ctlCfg core.Config) (*core.MultiController, error) {
-	nsys := s.host.NUMA()
-	sockets := 1
-	if nsys != nil {
-		sockets = nsys.Sockets()
-	}
 	var specs []core.SocketSpec
-	for socket := 0; socket < sockets; socket++ {
+	for socket := 0; socket < s.host.Sockets(); socket++ {
 		targets, err := s.targets(func(vm *host.VM) bool { return vm.Socket == socket })
 		if err != nil {
 			return nil, err
@@ -301,12 +292,7 @@ func (s *scenario) buildMulti(ctlCfg core.Config) (*core.MultiController, error)
 		if len(targets) == 0 {
 			continue
 		}
-		var backend cat.Backend
-		if nsys != nil {
-			backend, err = cat.NewNUMABackend(nsys, socket)
-		} else {
-			backend, err = cat.NewSimBackend(s.host.System())
-		}
+		backend, err := s.host.CATBackend(socket)
 		if err != nil {
 			return nil, err
 		}

@@ -110,7 +110,7 @@ func runFleet(opts Options, intervals int, eng *placement.Engine) (fleetResult, 
 
 	var res fleetResult
 	lastMover := ""
-	onTick := func(int, *core.Controller) {
+	onTick := func(int, *core.MultiController) {
 		if eng == nil {
 			return
 		}

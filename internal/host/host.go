@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/addr"
+	"repro/internal/cat"
 	"repro/internal/memsys"
 	"repro/internal/perf"
 	"repro/internal/workload"
@@ -243,6 +244,31 @@ func (h *Host) System() *memsys.System {
 // NUMA returns the multi-socket hierarchy, or nil on a legacy
 // single-socket host.
 func (h *Host) NUMA() *memsys.NUMASystem { return h.nsys }
+
+// Sockets returns how many sockets (LLCs, hence CAT domains) the host
+// models; a legacy single-socket host has one.
+func (h *Host) Sockets() int { return h.cfg.NumSockets() }
+
+// CATBackend returns the CAT domain of one socket's LLC, whichever
+// topology is live: a cat.SimBackend over the legacy hierarchy, a
+// cat.NUMABackend otherwise.
+func (h *Host) CATBackend(socket int) (cat.MonitoredBackend, error) {
+	if h.sys == nil {
+		b, err := cat.NewNUMABackend(h.nsys, socket)
+		if err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	if socket != 0 {
+		return nil, fmt.Errorf("host: socket %d out of range [0,1)", socket)
+	}
+	b, err := cat.NewSimBackend(h.sys)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
 
 // Counters exposes a perf reader over the host's global core IDs,
 // whichever topology is live.

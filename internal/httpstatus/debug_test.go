@@ -59,7 +59,7 @@ func TestDebugEndpointsLiveController(t *testing.T) {
 	if err := sim.Start(dcat.DefaultConfig(), map[string]int{"web": 3, "lazy": 3}); err != nil {
 		t.Fatal(err)
 	}
-	ctl := sim.Controller()
+	ctl := sim.Multi()
 	journal := obs.NewJournal(obs.DefaultJournalSize)
 	reg := telemetry.NewRegistry()
 	ctl.SetSink(journal)
@@ -159,7 +159,7 @@ func TestDebugEndpointsLiveController(t *testing.T) {
 	for _, want := range []string{
 		"dcat_ways{workload=\"web\"",
 		"# TYPE dcat_tick_seconds histogram",
-		"dcat_tick_seconds_count 40",
+		`dcat_tick_seconds_count{socket="0"} 40`,
 		"# TYPE dcat_state_transitions_total counter",
 		"dcat_pool_free_ways",
 	} {

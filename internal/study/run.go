@@ -159,7 +159,6 @@ func modulatedTenant(sc Scenario, slot int, h *host.Host, socket int) (workload.
 // buildMulti wires one CAT domain and controller per socket (anchors
 // guarantee every socket has at least one target).
 func buildMulti(ctlCfg core.Config, h *host.Host, sc Scenario) (*core.MultiController, error) {
-	nsys := h.NUMA()
 	specs := make([]core.SocketSpec, 0, sc.Sockets)
 	for socket := 0; socket < sc.Sockets; socket++ {
 		var targets []core.Target
@@ -173,7 +172,7 @@ func buildMulti(ctlCfg core.Config, h *host.Host, sc Scenario) (*core.MultiContr
 			}
 			targets = append(targets, core.Target{Name: vm.Name, Cores: vm.Cores, BaselineWays: baseline})
 		}
-		backend, err := cat.NewNUMABackend(nsys, socket)
+		backend, err := h.CATBackend(socket)
 		if err != nil {
 			return nil, err
 		}
